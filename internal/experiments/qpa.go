@@ -4,14 +4,11 @@ import (
 	"fmt"
 	"time"
 
-	"hta/internal/bind"
 	"hta/internal/chaos"
 	"hta/internal/core"
-	"hta/internal/flow"
 	"hta/internal/kubesim"
 	"hta/internal/qpa"
 	"hta/internal/resources"
-	"hta/internal/simclock"
 	"hta/internal/workload"
 	"hta/internal/wq"
 )
@@ -32,65 +29,14 @@ type QPAOptions struct {
 
 // RunQPA executes the workload under the queue-proportional scaler.
 func RunQPA(name string, wl Workload, opt QPAOptions) (*RunResult, error) {
-	if opt.Timeout == 0 {
-		opt.Timeout = 24 * time.Hour
-	}
-	eng := simclock.NewEngine(SimStart)
-	if opt.Kube.Seed == 0 {
-		opt.Kube.Seed = 1
-	}
-	cluster := kubesim.NewCluster(eng, opt.Kube)
-	defer cluster.Stop()
-	if opt.PodResources.IsZero() {
-		opt.PodResources = cluster.Config().NodeAllocatable
-	}
-	master := wq.NewMaster(eng, nil)
-	master.SetRetryPolicy(opt.Retry)
-	binder := bind.Workers(cluster, master, map[string]string{"app": "wq-worker"})
-	inj := attachChaos(eng, opt.Chaos, cluster, master, nil)
-
-	template := kubesim.PodSpec{
-		Image:     "wq-worker",
-		Resources: opt.PodResources,
-		Labels:    map[string]string{"app": "wq-worker"},
-	}
-	ws := kubesim.NewWorkerSet(cluster, "wq-workers", template, opt.InitialReplicas)
-	defer ws.Stop()
-	ctrl := qpa.New(cluster, ws, master, opt.QPA)
-	defer ctrl.Stop()
-
-	sm := newSampler(master, cluster, opt.QPA.MaxReplicas)
-	sm.desiredFn = func() int { return ctrl.LastDesired }
-	sm.quotaCores = float64(cluster.Config().MaxNodes) * cluster.Config().NodeAllocatable.CoresValue()
-	ticker := eng.Every(SampleInterval, "sampler", func() { sm.sample(eng.Now()) })
-	defer ticker.Stop()
-
-	res := &RunResult{Name: name, Start: eng.Now()}
-	countRequeues(master, res)
-	runner := flow.NewRunner(wl.Graph, master, wl.Spec)
-	finished := false
-	runner.OnAllDone(func() {
-		res.End = eng.Now()
-		res.Runtime = eng.Elapsed()
-		finished = true
-	})
-	sm.sample(eng.Now())
-	runner.Start()
-	deadline := SimStart.Add(opt.Timeout)
-	eng.RunWhile(func() bool { return !finished && eng.Now().Before(deadline) })
-	if !finished {
-		return nil, &ErrTimeout{Name: name, Deadline: opt.Timeout, Stats: master.Stats()}
-	}
-	if err := runner.Err(); err != nil {
-		return nil, err
-	}
-	if err := binder.Err(); err != nil {
-		return nil, err
-	}
-	res.Completed = master.CompletedCount()
-	captureFailures(res, master, inj)
-	sm.finish(res)
-	return res, nil
+	e := env{kube: &opt.Kube, retry: opt.Retry, chaos: opt.Chaos, timeout: opt.Timeout, maxIdeal: opt.QPA.MaxReplicas}
+	sc := &workerSetScaler{pod: opt.PodResources, replicas: opt.InitialReplicas,
+		controller: func(c *kubesim.Cluster, ws *kubesim.WorkerSet, m *wq.Master, sm *sampler) func(*RunResult) {
+			ctrl := qpa.New(c, ws, m, opt.QPA)
+			sm.desiredFn = func() int { return ctrl.LastDesired }
+			return func(*RunResult) { ctrl.Stop() }
+		}}
+	return run(name, e, sc, batch(wl))
 }
 
 // AblationQueueScalerReport (A4) compares a KEDA-style

@@ -330,10 +330,11 @@ func recoveryCell(name string, cfg RecoveryEGConfig, comp chaos.Component, kills
 	defer cluster.Stop()
 	master := wq.NewMaster(eng, nil)
 	master.SetRetryPolicy(cfg.Retry)
-	a := core.New(eng, cluster, master, core.Config{MaxWorkers: 20})
-	if err := a.Start(); err != nil {
+	hs := &htaScaler{cfg: core.Config{MaxWorkers: 20}}
+	if _, err := hs.attach(eng, cluster, master); err != nil {
 		return nil, err
 	}
+	a := hs.a
 
 	h := &controlPlaneHarness{
 		eng: eng, master: master, auto: a,
@@ -358,10 +359,7 @@ func recoveryCell(name string, cfg RecoveryEGConfig, comp chaos.Component, kills
 	}
 
 	sm := newSampler(master, cluster, a.WorkerPodCount())
-	sm.estimator = a.Monitor()
-	sm.heldFn = a.HeldTasks
-	sm.desiredFn = a.WorkerPodCount
-	sm.quotaCores = float64(cluster.Config().MaxNodes) * cluster.Config().NodeAllocatable.CoresValue()
+	hs.control(sm)
 	ticker := eng.Every(SampleInterval, "sampler", func() { sm.sample(eng.Now()) })
 	defer ticker.Stop()
 

@@ -139,6 +139,12 @@ func StreamEI(seed int64) (*StreamEIReport, error) {
 
 // StreamEIWith runs E-I under an explicit configuration.
 func StreamEIWith(cfg StreamEIConfig) (*StreamEIReport, error) {
+	return streamEIWith(cfg, false)
+}
+
+// streamEIWith runs E-I, on the retained container/heap event core
+// when referenceEngine is set (differential runs).
+func streamEIWith(cfg StreamEIConfig, referenceEngine bool) (*StreamEIReport, error) {
 	rep := &StreamEIReport{Runs: make(map[string]*RunResult), Window: cfg.Trace.Window}
 
 	decl := cfg.Trace
@@ -147,10 +153,11 @@ func StreamEIWith(cfg StreamEIConfig) (*StreamEIReport, error) {
 	rep.Tasks = len(declTasks)
 
 	hpaRes, err := RunHPAStream("HPA", declTasks, HPAOptions{
-		Kube:      cfg.Kube,
-		HPA:       cfg.HPA,
-		Admission: cfg.Admission,
-		Timeout:   cfg.Timeout,
+		Kube:            cfg.Kube,
+		HPA:             cfg.HPA,
+		Admission:       cfg.Admission,
+		Timeout:         cfg.Timeout,
+		ReferenceEngine: referenceEngine,
 	})
 	if err != nil {
 		return nil, err
@@ -166,8 +173,9 @@ func StreamEIWith(cfg StreamEIConfig) (*StreamEIReport, error) {
 			MaxWorkers:   cfg.MaxWorkers,
 			DefaultCycle: cfg.Cycle,
 		},
-		Admission: cfg.Admission,
-		Timeout:   cfg.Timeout,
+		Admission:       cfg.Admission,
+		Timeout:         cfg.Timeout,
+		ReferenceEngine: referenceEngine,
 	}
 	htaRes, err := RunHTAStream("HTA", tasks, htaOpt)
 	if err != nil {
