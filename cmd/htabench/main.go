@@ -5,8 +5,13 @@
 //
 // Usage:
 //
-//	htabench [-seed N] [-runs fig2,fig4,fig6,fig10,fig11,ablations,chaos,recovery,io,ioscale,tenants,tenantchaos]
-//	         [-json] [-cpuprofile FILE] [-memprofile FILE]
+//	htabench [-seed N] [-runs NAME,...] [-csv DIR] [-html FILE]
+//	         [-cpuprofile FILE] [-memprofile FILE]
+//
+// The runs are fig2, fig4, fig6, fig10, fig11, ablations, sweeps,
+// stream, chaos, recovery, io, ioscale, tenants and tenantchaos; the
+// default is every run except io, ioscale, tenants and tenantchaos.
+// An unknown run name is an error (exit status 2).
 //
 // The io run is experiment E-H — the Fig. 11 I/O-bound workload swept
 // to 1k/5k/10k-worker fleets — and is not in the default set: its
@@ -15,36 +20,11 @@
 // fleets unlocked by the lane-sharded engine (months of virtual
 // time; -runs ioscale).
 //
-// -json additionally runs the scale benchmarks (10k-task dispatch
-// storm, parallel-vs-serial sweep, and the paired indexed-vs-naive
-// control-plane benchmarks), writing their wall-clock results to
-// BENCH_3.json, the E-F fault-injection experiment, writing its
-// summary to BENCH_2.json, the E-G control-plane crash-recovery
-// experiment, writing its summary to BENCH_4.json, and the E-H fleet
-// sweep plus the paired indexed-vs-reference link benchmark, writing
-// their results to BENCH_5.json, and the engine-core pairs (event
-// churn, batch scheduling, dispatch storm) plus the 100k-worker
-// headline cells and the E-H 50k/100k extension, writing their
-// results to BENCH_6.json, and the E-I open-system streaming
-// experiment (HPA vs HTA vs HTA-panic on the trace-driven day),
-// writing its summary to BENCH_7.json, and the E-J multi-tenant
-// arbitration experiment (fair-share vs quota vs a single shared
-// autoscaler at 100 and 1000 tenants, plus the incremental-vs-
-// reference arbiter-cycle cost pair), writing its summary to
-// BENCH_8.json, and the E-K tenant fault-isolation experiment
-// (tenant-master kills, an arbiter crash/restore, membership churn)
-// plus the arbiter snapshot/restore round-trip probe, writing its
-// summary to BENCH_9.json, and the memory-engine scale ladder (the
-// dispatch cells up to 1M workers / 10M tasks, each with its heap
-// trajectory: peak HeapAlloc, TotalAlloc, GC cycles, pause time),
-// writing its results to BENCH_10.json; combine with -runs none to
-// run only them, or with -runs scale to run only the memory-engine
-// ladder.
-// (BENCH_1.json is the pre-control-plane-scaling historical record.)
-//
 // -cpuprofile and -memprofile write pprof profiles covering whatever
 // the invocation ran — the standard way to find the next control-plane
-// hotspot.
+// hotspot. Throughput is measured by the perfbench module (bash
+// perfbench/run.sh --workload NAME), not here; the BENCH_N.json files
+// at the repository root are frozen history.
 package main
 
 import (
@@ -53,12 +33,17 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
 	"hta/internal/experiments"
 	"hta/internal/report"
 )
+
+// defaultRuns is the -runs default: every run that finishes in
+// seconds.
+const defaultRuns = "fig2,fig4,fig6,fig10,fig11,ablations,sweeps,stream,chaos,recovery"
 
 func main() {
 	os.Exit(run())
@@ -68,15 +53,19 @@ func main() {
 // writers fire on every path (os.Exit skips defers).
 func run() int {
 	seed := flag.Int64("seed", 1, "simulation seed")
-	runs := flag.String("runs", "fig2,fig4,fig6,fig10,fig11,ablations,sweeps,stream,chaos,recovery",
-		"comma-separated experiments to run")
+	runs := flag.String("runs", defaultRuns, "comma-separated experiments to run")
 	csvDir := flag.String("csv", "", "directory to export per-run CSV series into")
 	htmlOut := flag.String("html", "", "write an HTML report with SVG charts to this file")
-	jsonBench := flag.Bool("json", false,
-		"run the scale benchmarks and write wall-clock results to "+scaleBenchFile)
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile taken at exit to this file")
 	flag.Parse()
+
+	all := experimentTable(*seed)
+	selected, err := selectRuns(all, *runs)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "htabench:", err)
+		return 2
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -104,32 +93,6 @@ func run() int {
 				fmt.Fprintln(os.Stderr, err)
 			}
 		}()
-	}
-
-	selected := make(map[string]bool)
-	for _, r := range strings.Split(*runs, ",") {
-		selected[strings.TrimSpace(r)] = true
-	}
-
-	type experiment struct {
-		name string
-		run  func() (fmt.Stringer, error)
-	}
-	all := []experiment{
-		{"fig2", func() (fmt.Stringer, error) { return experiments.Fig2(*seed) }},
-		{"fig4", func() (fmt.Stringer, error) { return experiments.Fig4(*seed) }},
-		{"fig6", func() (fmt.Stringer, error) { return experiments.Fig6(10, *seed) }},
-		{"fig10", func() (fmt.Stringer, error) { return experiments.Fig10(*seed) }},
-		{"fig11", func() (fmt.Stringer, error) { return experiments.Fig11(*seed) }},
-		{"ablations", runAblations(*seed)},
-		{"sweeps", func() (fmt.Stringer, error) { return experiments.SweepInitLatency(*seed) }},
-		{"stream", runStream(*seed)},
-		{"chaos", func() (fmt.Stringer, error) { return experiments.ChaosEF(*seed) }},
-		{"recovery", func() (fmt.Stringer, error) { return experiments.RecoveryEG(*seed) }},
-		{"io", func() (fmt.Stringer, error) { return experiments.IOScaleEH(*seed) }},
-		{"ioscale", func() (fmt.Stringer, error) { return experiments.IOScaleEHScale(*seed) }},
-		{"tenants", func() (fmt.Stringer, error) { return experiments.TenantsEJ(*seed, 100) }},
-		{"tenantchaos", func() (fmt.Stringer, error) { return experiments.TenantChaosEK(*seed) }},
 	}
 
 	var page *report.Page
@@ -163,54 +126,6 @@ func run() int {
 			}
 		}
 	}
-	if *jsonBench {
-		if selected["scale"] {
-			// -runs scale -json: just the memory-engine scale ladder
-			// (BENCH_10.json) — the headline cells take ~1 min; the full
-			// bench battery takes far longer.
-			if err := runMemoryBench(*seed); err != nil {
-				fmt.Fprintf(os.Stderr, "memory bench: %v\n", err)
-				return 1
-			}
-			return 0
-		}
-		if err := runScaleBench(*seed); err != nil {
-			fmt.Fprintf(os.Stderr, "scale bench: %v\n", err)
-			failed = true
-		}
-		if err := runChaosBench(*seed); err != nil {
-			fmt.Fprintf(os.Stderr, "chaos bench: %v\n", err)
-			failed = true
-		}
-		if err := runRecoveryBench(*seed); err != nil {
-			fmt.Fprintf(os.Stderr, "recovery bench: %v\n", err)
-			failed = true
-		}
-		if err := runIOBench(*seed); err != nil {
-			fmt.Fprintf(os.Stderr, "io bench: %v\n", err)
-			failed = true
-		}
-		if err := runEngineBench(*seed); err != nil {
-			fmt.Fprintf(os.Stderr, "engine bench: %v\n", err)
-			failed = true
-		}
-		if err := runStreamBench(*seed); err != nil {
-			fmt.Fprintf(os.Stderr, "stream bench: %v\n", err)
-			failed = true
-		}
-		if err := runTenantBench(*seed); err != nil {
-			fmt.Fprintf(os.Stderr, "tenant bench: %v\n", err)
-			failed = true
-		}
-		if err := runTenantChaosBench(*seed); err != nil {
-			fmt.Fprintf(os.Stderr, "tenant chaos bench: %v\n", err)
-			failed = true
-		}
-		if err := runMemoryBench(*seed); err != nil {
-			fmt.Fprintf(os.Stderr, "memory bench: %v\n", err)
-			failed = true
-		}
-	}
 	if page != nil && !failed {
 		f, err := os.Create(*htmlOut)
 		if err != nil {
@@ -228,6 +143,50 @@ func run() int {
 		return 1
 	}
 	return 0
+}
+
+// experiment is one named run: it simulates and returns its report.
+type experiment struct {
+	name string
+	run  func() (fmt.Stringer, error)
+}
+
+// experimentTable lists every run in print order.
+func experimentTable(seed int64) []experiment {
+	return []experiment{
+		{"fig2", func() (fmt.Stringer, error) { return experiments.Fig2(seed) }},
+		{"fig4", func() (fmt.Stringer, error) { return experiments.Fig4(seed) }},
+		{"fig6", func() (fmt.Stringer, error) { return experiments.Fig6(10, seed) }},
+		{"fig10", func() (fmt.Stringer, error) { return experiments.Fig10(seed) }},
+		{"fig11", func() (fmt.Stringer, error) { return experiments.Fig11(seed) }},
+		{"ablations", runAblations(seed)},
+		{"sweeps", func() (fmt.Stringer, error) { return experiments.SweepInitLatency(seed) }},
+		{"stream", runStream(seed)},
+		{"chaos", func() (fmt.Stringer, error) { return experiments.ChaosEF(seed) }},
+		{"recovery", func() (fmt.Stringer, error) { return experiments.RecoveryEG(seed) }},
+		{"io", func() (fmt.Stringer, error) { return experiments.IOScaleEH(seed) }},
+		{"ioscale", func() (fmt.Stringer, error) { return experiments.IOScaleEHScale(seed) }},
+		{"tenants", func() (fmt.Stringer, error) { return experiments.TenantsEJ(seed, 100) }},
+		{"tenantchaos", func() (fmt.Stringer, error) { return experiments.TenantChaosEK(seed) }},
+	}
+}
+
+// selectRuns parses the -runs list: comma-separated names with
+// optional surrounding spaces, each of which must name a run in all.
+func selectRuns(all []experiment, list string) (map[string]bool, error) {
+	names := make([]string, len(all))
+	for i, ex := range all {
+		names[i] = ex.name
+	}
+	selected := make(map[string]bool)
+	for _, r := range strings.Split(list, ",") {
+		r = strings.TrimSpace(r)
+		if !slices.Contains(names, r) {
+			return nil, fmt.Errorf("unknown run %q; valid runs: %s", r, strings.Join(names, ", "))
+		}
+		selected[r] = true
+	}
+	return selected, nil
 }
 
 // runStream bundles the two open-loop scenarios: S2 (diurnal stream,

@@ -378,8 +378,8 @@ func (a *Arbiter) RunCycle() {
 // PlanOnly runs the planning half of a cycle — demand digests plus the
 // allocation pass — without committing virtual-service counters or
 // touching pods. It isolates the arbitration cost the perf headline is
-// about (used by BenchmarkArbiterCycle and htabench's E-J cycle-cost
-// probe). Returns the live grant scratch; callers must not retain it.
+// about (used by BenchmarkArbiterCycle). Returns the live grant
+// scratch; callers must not retain it.
 func (a *Arbiter) PlanOnly() []int64 {
 	if a.cfg.Naive {
 		a.referencePlan(a.refGrant)

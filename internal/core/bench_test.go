@@ -11,12 +11,13 @@ import (
 	"hta/internal/wq"
 )
 
-// scaleBenchInput builds the ISSUE's Algorithm 1 stress snapshot: 1000
-// workers each running one long task (about half complete inside the
-// window), and 10000 waiting tasks arriving in category blocks of 50 —
-// four estimator-known categories, one declared-resources block and one
-// unmeasured probe category.
-func scaleBenchInput() EstimateInput {
+// scaleBenchInput builds the Algorithm 1 stress snapshot: workers
+// each running one long task (about half complete inside the window),
+// and waiting tasks arriving in category blocks of 50 — four
+// estimator-known categories, one declared-resources block and one
+// unmeasured probe category. The benchmarks use 1000 workers and
+// 10000 waiting tasks.
+func scaleBenchInput(workers, waiting int) EstimateInput {
 	in := EstimateInput{
 		Now:            t0,
 		InitTime:       160 * time.Second,
@@ -39,7 +40,7 @@ func scaleBenchInput() EstimateInput {
 		},
 	}
 	alloc := resources.New(1, 3800, 0)
-	for i := 0; i < 1000; i++ {
+	for i := 0; i < workers; i++ {
 		id := fmt.Sprintf("w%d", i)
 		in.Workers = append(in.Workers, WorkerInfo{ID: id, Capacity: nodeCap})
 		in.Running = append(in.Running, wq.Task{
@@ -49,7 +50,7 @@ func scaleBenchInput() EstimateInput {
 			Allocated: alloc,
 		})
 	}
-	for i := 0; i < 10000; i++ {
+	for i := 0; i < waiting; i++ {
 		t := wq.Task{}
 		switch (i / 50) % 6 {
 		case 0, 1, 2, 3:
@@ -69,7 +70,7 @@ func scaleBenchInput() EstimateInput {
 // × 1k-worker snapshot, reusing one Planner across iterations the way
 // the autoscaler does (steady state should report zero allocs/op).
 func BenchmarkEstimateScale(b *testing.B) {
-	in := scaleBenchInput()
+	in := scaleBenchInput(1000, 10000)
 	var p Planner
 	p.EstimateScale(in)
 	b.ResetTimer()
@@ -84,7 +85,7 @@ func BenchmarkEstimateScale(b *testing.B) {
 // BenchmarkEstimateScaleNaive runs the retained per-task reference on
 // the same snapshot — the baseline for the speedup claim.
 func BenchmarkEstimateScaleNaive(b *testing.B) {
-	in := scaleBenchInput()
+	in := scaleBenchInput(1000, 10000)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

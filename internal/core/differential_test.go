@@ -84,9 +84,15 @@ func randomEstimateInput(rng *rand.Rand) EstimateInput {
 // TestDifferentialEstimateIdentical pins the tentpole's contract: the
 // grouped planner returns Decisions byte-identical to the retained
 // per-task reference on randomized queues, with one Planner reused
-// across every iteration so stale scratch state would be caught too.
+// across every iteration so stale scratch state would be caught too,
+// and on the benchmark's block-structured snapshot at a tenth of its
+// size (the full 1000×10000 reference pass takes seconds).
 func TestDifferentialEstimateIdentical(t *testing.T) {
 	var p Planner
+	bench := scaleBenchInput(100, 1000)
+	if got, want := p.EstimateScale(bench), ReferenceEstimateScale(bench); got != want || got.ScaleChange <= 0 {
+		t.Fatalf("bench snapshot: planner %+v, reference %+v, want equal scale-ups", got, want)
+	}
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		for iter := 0; iter < 25; iter++ {

@@ -221,13 +221,6 @@ func (c *Cluster) SetSchedulerSlowdown(factor float64) {
 	c.schedTicker.Reset(time.Duration(float64(c.cfg.SchedulerInterval) * factor))
 }
 
-// SetNaiveScheduling switches the control plane between the indexed
-// read paths and the retained naive reference forms at runtime. Index
-// maintenance is unconditional, so the switch is valid at any point in
-// a cluster's life; benchmarks use it to build large fixtures with the
-// indexed paths before timing the naive ones.
-func (c *Cluster) SetNaiveScheduling(naive bool) { c.cfg.NaiveScheduling = naive }
-
 // Clock returns the cluster's simulation clock.
 func (c *Cluster) Clock() simclock.Clock { return c.eng }
 

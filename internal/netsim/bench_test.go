@@ -89,8 +89,8 @@ func BenchmarkLinkScale(b *testing.B) {
 
 // BenchmarkLinkScaleReference runs the identical scenario on the
 // retained reference implementation. Like the Naive control-plane
-// baselines it is excluded from the CI bench smoke; htabench -runs io
-// records the measured speedup in BENCH_5.json.
+// baselines it is excluded from the CI bench smoke; run it beside
+// BenchmarkLinkScale/10k to read the speedup.
 func BenchmarkLinkScaleReference(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -247,6 +247,21 @@ func TestLinkDifferentialSeeds(t *testing.T) {
 			}
 		}
 	}
+	// BenchmarkLinkScale's regime at a fifth of its width: every
+	// completion starts a replacement, holding 2000 transfers in
+	// flight. Busy time gets the file's one-nanosecond-per-completion
+	// budget.
+	const width, total = 2000, 4000
+	is, rs := runLinkScale(NewLink, width, total), runLinkScale(NewReferenceLink, width, total)
+	if is.Completed != total || rs.Completed != total {
+		t.Fatalf("wide churn completed: indexed %d, reference %d, want %d", is.Completed, rs.Completed, total)
+	}
+	if !relClose(is.DeliveredMB, rs.DeliveredMB, 1e-6) {
+		t.Fatalf("wide churn delivered: indexed %v, reference %v", is.DeliveredMB, rs.DeliveredMB)
+	}
+	if d := is.BusyTime - rs.BusyTime; d < -total || d > total {
+		t.Fatalf("wide churn busy: indexed %v, reference %v", is.BusyTime, rs.BusyTime)
+	}
 }
 
 // decodeOps turns fuzz bytes into an op sequence. Sizes and gaps are

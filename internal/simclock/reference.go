@@ -8,7 +8,7 @@ import (
 // This file retains the seed event core — a serial container/heap of
 // pointer events keyed by time.Time — as a differential-testing oracle
 // for the int64 lane-sharded core in simclock.go, the same discipline
-// kubesim (reference.go, SetNaiveScheduling) and netsim
+// kubesim (reference.go, Config.NaiveScheduling) and netsim
 // (NewReferenceLink) use for their risky rewrites. NewReferenceEngine
 // returns an *Engine whose scheduling routes through this core, so
 // every component runs unmodified on either implementation and the

@@ -207,7 +207,7 @@ func (m *Master) compactRoster() {
 // SetNaivePlacement switches FirstFit placement (and the maxFree
 // bound) to the retained pre-index linear roster scan — the oracle
 // the placement differential tests compare against, as kubesim's
-// SetNaiveScheduling does for its scheduler index.
+// Config.NaiveScheduling does for its scheduler index.
 func (m *Master) SetNaivePlacement(naive bool) {
 	if m.naivePlace == naive {
 		return
