@@ -50,7 +50,7 @@ func benchChurnCluster(b *testing.B, naive bool) *Cluster {
 		}
 	}
 	c.scheduleOnce()
-	if n := len(c.pendingPods); n != 0 {
+	if n := len(c.pendingUnbound()); n != 0 {
 		b.Fatalf("%d residents unschedulable after setup", n)
 	}
 	c.cfg.NaiveScheduling = naive
@@ -92,7 +92,7 @@ func churnRound(b *testing.B, c *Cluster, round int) {
 		}
 	}
 	c.scheduleOnce()
-	if n := len(c.pendingPods); n != 0 {
+	if n := len(c.pendingUnbound()); n != 0 {
 		b.Fatalf("round %d: %d pods unschedulable", round, n)
 	}
 }
@@ -132,5 +132,77 @@ func BenchmarkClusterLifecycle(b *testing.B) {
 			b.Fatalf("nodes = %d", got)
 		}
 		c.Stop()
+	}
+}
+
+// backlogCluster builds a cluster at its quota of nodes nodes, each
+// filled by one node-sized pod, with nodes more node-sized pods
+// pending and already marked unschedulable — the control plane of a
+// saturated HTA fleet whose backlog waits for capacity. Setup always
+// runs the indexed path; the requested mode is set afterwards.
+func backlogCluster(tb testing.TB, nodes int, naive bool) *Cluster {
+	tb.Helper()
+	eng := simclock.NewEngine(t0)
+	c := NewCluster(eng, Config{InitialNodes: nodes, MinNodes: nodes, MaxNodes: nodes, Seed: 1})
+	tb.Cleanup(c.Stop)
+	for i := 0; i < 2*nodes; i++ {
+		spec := smallPod(fmt.Sprintf("p%d", i))
+		spec.Resources = c.Config().NodeAllocatable
+		if _, err := c.CreatePod(spec); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	c.scheduleOnce()
+	if n := len(c.pendingUnbound()); n != nodes {
+		tb.Fatalf("%d pods pending after setup, want %d", n, nodes)
+	}
+	c.cfg.NaiveScheduling = naive
+	return c
+}
+
+// controlPlaneTick runs one scheduler pass and one cloud-controller
+// pass.
+func controlPlaneTick(c *Cluster) {
+	c.scheduleOnce()
+	c.cloudControllerOnce()
+}
+
+func benchSchedulerBacklog(b *testing.B, nodes int, naive bool) {
+	c := backlogCluster(b, nodes, naive)
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		controlPlaneTick(c)
+	}
+}
+
+// BenchmarkSchedulerBacklog measures a control-plane tick (scheduler
+// plus cloud-controller pass) of a fleet at its quota with a backlog
+// as large as the fleet: up to 10k node-sized pods over 10k full
+// nodes, the saturated phase of io-fleet.
+func BenchmarkSchedulerBacklog(b *testing.B) {
+	for _, nodes := range []int{200, 10000} {
+		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
+			benchSchedulerBacklog(b, nodes, false)
+		})
+	}
+}
+
+// BenchmarkSchedulerBacklogNaive runs the same tick with the retained
+// naive predicates, whose pod-store scans make each tick
+// O(backlog × nodes × pods); it stops at 200 nodes, as 1k nodes
+// already takes about 45 s per tick.
+func BenchmarkSchedulerBacklogNaive(b *testing.B) {
+	b.Run("nodes=200", func(b *testing.B) { benchSchedulerBacklog(b, 200, true) })
+}
+
+// TestControlPlaneTickZeroAlloc pins the saturated control-plane tick
+// at zero allocations: the pending queue is compacted in place, every
+// backlog pod is rejected at the fit index's root, and the cloud
+// controller skips the estimate at the quota.
+func TestControlPlaneTickZeroAlloc(t *testing.T) {
+	c := backlogCluster(t, 200, false)
+	if allocs := testing.AllocsPerRun(20, func() { controlPlaneTick(c) }); allocs != 0 {
+		t.Fatalf("control-plane tick allocates %.1f times, want 0", allocs)
 	}
 }

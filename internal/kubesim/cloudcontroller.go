@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"time"
-
-	"hta/internal/resources"
 )
 
 // addNode registers a ready node with the API server.
@@ -54,6 +52,12 @@ func (c *Cluster) cloudControllerOnce() {
 }
 
 func (c *Cluster) scaleUpForPending(nodes []*Node) {
+	// At the quota no estimate can add a node: needed is capped at
+	// room below.
+	room := c.cfg.MaxNodes - len(c.nodes) - c.provisioning
+	if room <= 0 {
+		return
+	}
 	unsched := c.pendingScratch[:0]
 	if c.cfg.NaiveScheduling {
 		for _, p := range c.pods {
@@ -65,16 +69,17 @@ func (c *Cluster) scaleUpForPending(nodes []*Node) {
 				}
 			}
 		}
+		// Deterministic queue order: the bin-packed node estimate
+		// below is order-sensitive for mixed pod sizes.
+		slices.SortFunc(unsched, func(a, b *Pod) int { return cmp.Compare(a.UID, b.UID) })
 	} else {
-		for _, p := range c.pendingPods {
+		// The pending queue is already in UID order.
+		for _, p := range c.pendingUnbound() {
 			if p.UnschedulableSeen && p.Resources.Fits(c.cfg.NodeAllocatable) {
 				unsched = append(unsched, p)
 			}
 		}
 	}
-	// Deterministic queue order: the bin-packed node estimate below is
-	// order-sensitive for mixed pod sizes.
-	slices.SortFunc(unsched, func(a, b *Pod) int { return cmp.Compare(a.UID, b.UID) })
 	c.pendingScratch = unsched
 	defer c.releaseScratch(unsched)
 	if len(unsched) == 0 {
@@ -83,7 +88,6 @@ func (c *Cluster) scaleUpForPending(nodes []*Node) {
 	// Nodes already being reserved will absorb part of the pending
 	// demand; only provision the remainder.
 	needed := c.nodesNeededFor(nodes, unsched) - c.provisioning
-	room := c.cfg.MaxNodes - len(c.nodes) - c.provisioning
 	if needed > room {
 		needed = room
 	}
@@ -118,41 +122,32 @@ func (c *Cluster) scaleUpForPending(nodes []*Node) {
 // space of existing ready nodes (capacity the scheduler has not yet
 // used, e.g. a node that just came up) and then onto hypothetical
 // empty nodes of the configured shape, returning only the count of
-// new nodes required.
+// new nodes required. nodes is the roster sortedNodes just returned,
+// so the packing starts from a copy of its fit index; each pod is then
+// a descent of that copy and, failing it, of a second index over the
+// bins opened so far.
 func (c *Cluster) nodesNeededFor(nodes []*Node, pods []*Pod) int {
-	var existing []resources.Vector
-	for _, n := range nodes {
-		if !n.Ready {
-			continue
-		}
-		existing = append(existing, c.nodeFree(n))
+	if !c.fitCovers(nodes) {
+		return c.naiveNodesNeededFor(nodes, pods)
 	}
-	var bins []resources.Vector // free space per hypothetical new node
+	existing, bins := &c.estFit, &c.binFit
+	existing.CloneFrom(&c.fit)
+	bins.Reset(nil)
+	nbins := 0
 	for _, p := range pods {
-		placedExisting := false
-		for i := range existing {
-			if p.Resources.Fits(existing[i]) {
-				existing[i] = existing[i].Sub(p.Resources)
-				placedExisting = true
-				break
-			}
-		}
-		if placedExisting {
+		if s := existing.FindFirst(p.Resources); s >= 0 {
+			existing.Set(s, existing.Leaf(s).Sub(p.Resources))
 			continue
 		}
-		placed := false
-		for i := range bins {
-			if p.Resources.Fits(bins[i]) {
-				bins[i] = bins[i].Sub(p.Resources)
-				placed = true
-				break
-			}
+		if s := bins.FindFirst(p.Resources); s >= 0 {
+			bins.Set(s, bins.Leaf(s).Sub(p.Resources))
+			continue
 		}
-		if !placed {
-			bins = append(bins, c.cfg.NodeAllocatable.Sub(p.Resources))
-		}
+		bins.Ensure(nbins + 1)
+		bins.Set(nbins, c.cfg.NodeAllocatable.Sub(p.Resources))
+		nbins++
 	}
-	return len(bins)
+	return nbins
 }
 
 func (c *Cluster) scaleDownEmpty(nodes []*Node) {

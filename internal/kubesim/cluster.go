@@ -136,17 +136,26 @@ type Cluster struct {
 	// Incremental scheduling indexes. podsByNode holds the live
 	// (non-terminal) pods bound to each node; podsByLabel holds every
 	// stored pod under each of its label pairs (labels are immutable
-	// after CreatePod); pendingPods holds Pending pods not yet bound.
-	// nodeList caches the age-sorted node roster and is invalidated on
-	// node add/remove. The naive reference path (Config.NaiveScheduling)
-	// ignores all four and rescans the stores.
+	// after CreatePod); pending holds the Pending pods not yet bound in
+	// UID order (creation appends, so append order is UID order), plus
+	// bound or deleted ones that pendingUnbound compacts away. nodeList
+	// caches the age-sorted node roster and is invalidated on node
+	// add/remove; fit indexes its slots by free capacity (Node.slot), is
+	// rebuilt with it and kept current by bind and release. The naive
+	// reference path (Config.NaiveScheduling) ignores them and rescans
+	// the stores.
 	podsByNode  map[string]map[string]*Pod
 	podsByLabel map[string]map[string]*Pod
-	pendingPods map[string]*Pod
+	pending     []*Pod
 	nodeList    []*Node
 	nodeDirty   bool
+	fit         resources.FitIndex
 
-	pendingScratch []*Pod // reused by scheduleOnce/scaleUpForPending
+	// Scratch reused across control-loop ticks: the cloud controller's
+	// unschedulable queue (and the naive scheduler's pending list), and
+	// the estimate's copy of fit plus its hypothetical-node bins.
+	pendingScratch []*Pod
+	estFit, binFit resources.FitIndex
 
 	uid     int64
 	nodeSeq int
@@ -178,7 +187,6 @@ func NewCluster(eng *simclock.Engine, cfg Config) *Cluster {
 		statefulsets: make(map[string]*StatefulSet),
 		podsByNode:   make(map[string]map[string]*Pod),
 		podsByLabel:  make(map[string]map[string]*Pod),
-		pendingPods:  make(map[string]*Pod),
 		pulls:        make(map[string][]func()),
 	}
 	for i := 0; i < cfg.InitialNodes; i++ {
@@ -334,12 +342,12 @@ func (c *Cluster) indexPod(p *Pod) {
 		m[p.Name] = p
 	}
 	if p.Phase == PodPending && p.NodeName == "" {
-		c.pendingPods[p.Name] = p
+		c.pending = append(c.pending, p)
 	}
 }
 
-// unindexPod removes a pod from the label and pending indexes at
-// deletion time.
+// unindexPod removes a pod from the label index at deletion time; the
+// pending slice drops it at its next compaction.
 func (c *Cluster) unindexPod(p *Pod) {
 	for k, v := range p.Labels {
 		key := labelKey(k, v)
@@ -350,7 +358,6 @@ func (c *Cluster) unindexPod(p *Pod) {
 			}
 		}
 	}
-	delete(c.pendingPods, p.Name)
 }
 
 // release removes a formerly live, bound pod from its node's
@@ -363,6 +370,7 @@ func (c *Cluster) release(p *Pod) {
 	if n, ok := c.nodes[p.NodeName]; ok {
 		n.Allocated = n.Allocated.Sub(p.Resources)
 		n.livePods--
+		c.syncFit(n)
 	}
 	if m := c.podsByNode[p.NodeName]; m != nil {
 		delete(m, p.Name)
@@ -437,25 +445,39 @@ func (c *Cluster) GetPod(name string) (Pod, bool) {
 }
 
 // ListPods returns copies of all pods matching the selector (nil
-// selects everything), sorted by creation then name. With a non-empty
-// selector the lookup walks only the smallest matching label bucket
-// instead of the whole store.
+// selects everything), sorted by creation then name.
 func (c *Cluster) ListPods(selector map[string]string) []Pod {
-	var out []Pod
+	pods := c.selectPods(selector)
+	if len(pods) == 0 {
+		return nil
+	}
+	out := make([]Pod, len(pods))
+	for i, p := range pods {
+		out[i] = p.DeepCopy()
+	}
+	return out
+}
+
+// selectPods returns the stored pods matching the selector (nil
+// selects everything) in UID order, without copying them. With a
+// non-empty selector the lookup walks only the smallest matching label
+// bucket instead of the whole store.
+func (c *Cluster) selectPods(selector map[string]string) []*Pod {
+	var out []*Pod
 	if len(selector) == 0 || c.cfg.NaiveScheduling {
 		for _, p := range c.pods {
 			if p.MatchesSelector(selector) {
-				out = append(out, p.DeepCopy())
+				out = append(out, p)
 			}
 		}
 	} else {
 		for _, p := range c.selectorBucket(selector) {
 			if p.MatchesSelector(selector) {
-				out = append(out, p.DeepCopy())
+				out = append(out, p)
 			}
 		}
 	}
-	slices.SortFunc(out, func(a, b Pod) int { return cmp.Compare(a.UID, b.UID) })
+	slices.SortFunc(out, func(a, b *Pod) int { return cmp.Compare(a.UID, b.UID) })
 	return out
 }
 
@@ -471,16 +493,9 @@ func (c *Cluster) Nodes() []Node {
 	return out
 }
 
-// ReadyNodes returns the number of ready nodes.
-func (c *Cluster) ReadyNodes() int {
-	n := 0
-	for _, node := range c.nodes {
-		if node.Ready {
-			n++
-		}
-	}
-	return n
-}
+// ReadyNodes returns the number of ready nodes. A node is Ready from
+// addNode until removeNode, so that is the size of the node store.
+func (c *Cluster) ReadyNodes() int { return len(c.nodes) }
 
 // NodeCount returns ready plus provisioning node count.
 func (c *Cluster) NodeCount() int { return len(c.nodes) + c.provisioning }

@@ -1,8 +1,10 @@
 package kubesim
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -21,19 +23,22 @@ type churnResult struct {
 }
 
 // runChurnScript drives a cluster through a seeded, randomized
-// node/pod churn: mixed-size pod creation, deletions, graceful
-// completions, chaos-style node preemptions and failures, image-pull
-// faults, and a WorkerSet resizing under it. Every decision the script
-// makes is derived from cluster state that the differential assertion
-// proves identical, so the naive and indexed clusters replay the exact
-// same operation sequence.
-func runChurnScript(t *testing.T, seed int64, naive bool) churnResult {
+// node/pod churn: mixed-size and zero-request pod creation, deletions,
+// graceful completions, chaos-style node preemptions and failures,
+// image-pull faults, and a WorkerSet resizing under it. Midway a
+// backlog of node-sized pods larger than the quota arrives on top of
+// the mixed-size queue, so the cluster-autoscaler estimate packs mixed
+// sizes into hypothetical nodes and then hits the quota. Every
+// decision the script makes is derived from cluster state that the
+// differential assertion proves identical, so the naive and indexed
+// clusters replay the exact same operation sequence.
+func runChurnScript(t *testing.T, seed int64, maxNodes int, naive bool) churnResult {
 	t.Helper()
 	eng := simclock.NewEngine(t0)
 	c := NewCluster(eng, Config{
 		InitialNodes:    6,
 		MinNodes:        2,
-		MaxNodes:        14,
+		MaxNodes:        maxNodes,
 		Seed:            seed,
 		NaiveScheduling: naive,
 		ScaleDownDelay:  90 * time.Second,
@@ -59,6 +64,19 @@ func runChurnScript(t *testing.T, seed int64, naive bool) churnResult {
 	mems := []int64{512, 2048, 4096}
 	podN := 0
 	for step := 0; step < 80; step++ {
+		if step == 40 {
+			for i := 0; i < maxNodes+4; i++ {
+				podN++
+				spec := PodSpec{
+					Name:      fmt.Sprintf("churn-%d", podN),
+					Image:     "img-0",
+					Resources: c.Config().NodeAllocatable,
+				}
+				if _, err := c.CreatePod(spec); err != nil {
+					t.Fatalf("create: %v", err)
+				}
+			}
+		}
 		switch rng.Intn(6) {
 		case 0, 1: // create a burst of mixed-size pods
 			for i := rng.Intn(5); i >= 0; i-- {
@@ -68,6 +86,9 @@ func runChurnScript(t *testing.T, seed int64, naive bool) churnResult {
 					Image:     fmt.Sprintf("img-%d", rng.Intn(3)),
 					Resources: resources.New(cpus[rng.Intn(len(cpus))], mems[rng.Intn(len(mems))], 100),
 					Labels:    map[string]string{"tier": fmt.Sprintf("t%d", rng.Intn(3))},
+				}
+				if rng.Intn(8) == 0 {
+					spec.Resources = resources.Zero
 				}
 				if _, err := c.CreatePod(spec); err != nil {
 					t.Fatalf("create: %v", err)
@@ -136,8 +157,8 @@ func TestDifferentialSchedulingIdentical(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			naive := runChurnScript(t, seed, true)
-			indexed := runChurnScript(t, seed, false)
+			naive := runChurnScript(t, seed, 14, true)
+			indexed := runChurnScript(t, seed, 14, false)
 			diffEvents(t, naive.events, indexed.events)
 			if len(naive.events) < 100 {
 				t.Errorf("script too quiet: only %d events", len(naive.events))
@@ -166,6 +187,56 @@ func TestDifferentialSchedulingIdentical(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzSchedulingDifferential runs the churn script for fuzzed seeds
+// and quotas (4 to 19 nodes) on the naive and the indexed control
+// plane: the event logs, which embed every bind, FailedScheduling
+// record and scale-up batch size, must be identical.
+func FuzzSchedulingDifferential(f *testing.F) {
+	f.Add(int64(1), uint8(10))
+	f.Add(int64(9), uint8(0))
+	f.Add(int64(-3), uint8(15))
+	f.Fuzz(func(t *testing.T, seed int64, quota uint8) {
+		maxNodes := 4 + int(quota%16)
+		naive := runChurnScript(t, seed, maxNodes, true)
+		indexed := runChurnScript(t, seed, maxNodes, false)
+		diffEvents(t, naive.events, indexed.events)
+	})
+}
+
+// TestRosterChangeMidPass removes a node and rebuilds the cached roster
+// from inside a watch handler while a scheduler pass is binding: the
+// pass must keep first-fitting over its own roster snapshot exactly as
+// the naive scan does, though the fit index no longer describes it.
+func TestRosterChangeMidPass(t *testing.T) {
+	run := func(naive bool) []Event {
+		eng := simclock.NewEngine(t0)
+		c := NewCluster(eng, Config{InitialNodes: 5, MaxNodes: 5, Seed: 3, NaiveScheduling: naive})
+		defer c.Stop()
+		preempted := false
+		c.OnPod(func(ev PodWatchEvent) {
+			if ev.Reason != ReasonScheduled || preempted {
+				return
+			}
+			preempted = true
+			names := c.ReadyNodeNames()
+			if err := c.PreemptNode(names[len(names)-1]); err != nil {
+				t.Errorf("preempt: %v", err)
+			}
+			c.ReadyNodeNames() // rebuilds the cached roster mid-pass
+		})
+		for i := 0; i < 12; i++ {
+			spec := smallPod(fmt.Sprintf("p%d", i))
+			spec.Resources = resources.New(1.5, 1024, 100)
+			if _, err := c.CreatePod(spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		eng.RunFor(30 * time.Second)
+		return c.Events()
+	}
+	diffEvents(t, run(true), run(false))
 }
 
 // TestIndexInvariants replays churn on an indexed cluster and, at
@@ -199,18 +270,6 @@ func TestIndexInvariants(t *testing.T) {
 				t.Fatalf("step %d: node %s emptiness disagrees", step, n.Name)
 			}
 		}
-		pending := 0
-		for _, p := range c.pods {
-			if p.Phase == PodPending && p.NodeName == "" {
-				pending++
-				if c.pendingPods[p.Name] != p {
-					t.Fatalf("step %d: pod %s missing from pending index", step, p.Name)
-				}
-			}
-		}
-		if len(c.pendingPods) != pending {
-			t.Fatalf("step %d: pending index size %d, naive %d", step, len(c.pendingPods), pending)
-		}
 		for _, sel := range []map[string]string{
 			{"tier": "t0"}, {"tier": "t1"}, {"tier": "t0", "app": "x"},
 		} {
@@ -230,7 +289,20 @@ func TestIndexInvariants(t *testing.T) {
 				}
 			}
 		}
+		want := c.naivePendingUnbound(nil)
+		slices.SortFunc(want, func(a, b *Pod) int { return cmp.Compare(a.UID, b.UID) })
+		if got := c.pendingUnbound(); !slices.Equal(got, want) {
+			t.Fatalf("step %d: pending slice %d pods, UID-sorted store scan %d", step, len(got), len(want))
+		}
 		roster := c.sortedNodes()
+		if !c.fitCovers(roster) {
+			t.Fatalf("step %d: fit index does not cover the cached roster", step)
+		}
+		for i, n := range roster {
+			if got, free := c.fit.Leaf(i), c.nodeFree(n); got != free {
+				t.Fatalf("step %d: fit leaf %d (%s) = %v, nodeFree %v", step, i, n.Name, got, free)
+			}
+		}
 		fresh := c.naiveSortedNodes()
 		if len(roster) != len(fresh) {
 			t.Fatalf("step %d: cached roster size %d, fresh %d", step, len(roster), len(fresh))

@@ -64,3 +64,42 @@ func (c *Cluster) naivePendingUnbound(out []*Pod) []*Pod {
 	}
 	return out
 }
+
+// naiveNodesNeededFor is the cluster-autoscaler estimate as a linear
+// first-fit: every pod scans the free space of the existing ready
+// nodes, then every hypothetical node opened so far.
+func (c *Cluster) naiveNodesNeededFor(nodes []*Node, pods []*Pod) int {
+	var existing []resources.Vector
+	for _, n := range nodes {
+		if !n.Ready {
+			continue
+		}
+		existing = append(existing, c.nodeFree(n))
+	}
+	var bins []resources.Vector // free space per hypothetical new node
+	for _, p := range pods {
+		placedExisting := false
+		for i := range existing {
+			if p.Resources.Fits(existing[i]) {
+				existing[i] = existing[i].Sub(p.Resources)
+				placedExisting = true
+				break
+			}
+		}
+		if placedExisting {
+			continue
+		}
+		placed := false
+		for i := range bins {
+			if p.Resources.Fits(bins[i]) {
+				bins[i] = bins[i].Sub(p.Resources)
+				placed = true
+				break
+			}
+		}
+		if !placed {
+			bins = append(bins, c.cfg.NodeAllocatable.Sub(p.Resources))
+		}
+	}
+	return len(bins)
+}

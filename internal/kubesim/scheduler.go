@@ -51,20 +51,26 @@ func (c *Cluster) unbind(p *Pod) {
 	c.freeNodeOf(p)
 }
 
-// pendingUnbound returns the Pending, not-yet-bound pods in UID order,
-// reusing the cluster's scratch slice.
+// pendingUnbound returns the Pending, not-yet-bound pods in UID order.
+// The indexed path compacts the pending slice in place and returns it
+// (append order is UID order, and compaction keeps relative order);
+// the naive path rescans the store into the scratch slice and sorts.
 func (c *Cluster) pendingUnbound() []*Pod {
-	pending := c.pendingScratch[:0]
 	if c.cfg.NaiveScheduling {
-		pending = c.naivePendingUnbound(pending)
-	} else {
-		for _, p := range c.pendingPods {
-			pending = append(pending, p)
+		pending := c.naivePendingUnbound(c.pendingScratch[:0])
+		slices.SortFunc(pending, func(a, b *Pod) int { return cmp.Compare(a.UID, b.UID) })
+		c.pendingScratch = pending
+		return pending
+	}
+	live := c.pending[:0]
+	for _, p := range c.pending {
+		if p.Phase == PodPending && p.NodeName == "" {
+			live = append(live, p)
 		}
 	}
-	slices.SortFunc(pending, func(a, b *Pod) int { return cmp.Compare(a.UID, b.UID) })
-	c.pendingScratch = pending
-	return pending
+	clear(c.pending[len(live):])
+	c.pending = live
+	return live
 }
 
 // releaseScratch drops the pod references held by the pending scratch
@@ -80,6 +86,10 @@ func (c *Cluster) releaseScratch(pending []*Pod) {
 // order; emit FailedScheduling for pods that cannot be placed. The
 // controller-manager's StatefulSet reconciliation piggybacks on the
 // same loop.
+//
+// The pass iterates a snapshot of the pending queue: pods a watch
+// handler creates mid-pass are appended past it and wait for the next
+// tick, as they did when the queue was a sorted copy.
 func (c *Cluster) scheduleOnce() {
 	for _, ss := range c.statefulsets {
 		c.reconcileStatefulSet(ss)
@@ -88,31 +98,63 @@ func (c *Cluster) scheduleOnce() {
 	pending := c.pendingUnbound()
 	nodes := c.sortedNodes()
 	for _, p := range pending {
-		placed := false
-		for _, n := range nodes {
-			if !n.Ready {
-				continue
-			}
-			if c.fitsOnNode(p, n) {
-				c.bind(p, n)
-				placed = true
-				break
-			}
+		if n := c.firstFit(nodes, p.Resources); n != nil {
+			c.bind(p, n)
+			continue
 		}
-		if !placed && !p.UnschedulableSeen {
+		if !p.UnschedulableSeen {
 			p.UnschedulableSeen = true
 			c.recordEvent("pod/"+p.Name, ReasonFailedScheduling,
 				fmt.Sprintf("0/%d nodes are available: Insufficient resources (request %v)", len(nodes), p.Resources))
 			c.notifyPod(Modified, p, ReasonFailedScheduling)
 		}
 	}
-	c.releaseScratch(pending)
+	if c.cfg.NaiveScheduling {
+		c.releaseScratch(pending)
+	}
+}
+
+// firstFit returns the first Ready node of the roster snapshot nodes
+// whose free capacity fits res, or nil. While nodes is still the
+// indexed roster this is a descent of c.fit; the naive path, and a
+// pass whose roster a watch handler changed mid-pass, scan nodes.
+func (c *Cluster) firstFit(nodes []*Node, res resources.Vector) *Node {
+	if c.fitCovers(nodes) {
+		if s := c.fit.FindFirst(res); s >= 0 {
+			return nodes[s]
+		}
+		return nil
+	}
+	for _, n := range nodes {
+		if n.Ready && res.Fits(c.nodeFree(n)) {
+			return n
+		}
+	}
+	return nil
+}
+
+// fitCovers reports whether c.fit indexes exactly the roster snapshot
+// nodes: the indexed path is on, no node was added or removed since
+// the roster was cached, and nodes is that cached slice.
+func (c *Cluster) fitCovers(nodes []*Node) bool {
+	return !c.cfg.NaiveScheduling && !c.nodeDirty && len(nodes) == len(c.nodeList) &&
+		(len(nodes) == 0 || &nodes[0] == &c.nodeList[0])
+}
+
+// syncFit refreshes a node's leaf in the fit index after its
+// allocation changed. Nodes added since the roster was cached have no
+// slot yet; the next sortedNodes rebuild indexes them.
+func (c *Cluster) syncFit(n *Node) {
+	if n.slot < len(c.nodeList) && c.nodeList[n.slot] == n {
+		c.fit.Set(n.slot, n.Allocatable.Sub(n.Allocated))
+	}
 }
 
 // sortedNodes returns the node roster sorted by creation time then
 // name. The fast path serves a cached slice invalidated on node
-// add/remove; a rebuild allocates a fresh backing array so callers
-// holding an older snapshot can keep iterating it safely.
+// add/remove, and rebuilds the fit index with it; a rebuild allocates
+// a fresh backing array so callers holding an older snapshot can keep
+// iterating it safely.
 func (c *Cluster) sortedNodes() []*Node {
 	if c.cfg.NaiveScheduling {
 		return c.naiveSortedNodes()
@@ -130,12 +172,14 @@ func (c *Cluster) sortedNodes() []*Node {
 		})
 		c.nodeList = out
 		c.nodeDirty = false
+		c.fit.Reset(nil)
+		c.fit.Ensure(len(out))
+		for i, n := range out {
+			n.slot = i
+			c.fit.Set(i, n.Allocatable.Sub(n.Allocated))
+		}
 	}
 	return c.nodeList
-}
-
-func (c *Cluster) fitsOnNode(p *Pod, n *Node) bool {
-	return p.Resources.Fits(c.nodeFree(n))
 }
 
 func (c *Cluster) bind(p *Pod, n *Node) {
@@ -144,13 +188,13 @@ func (c *Cluster) bind(p *Pod, n *Node) {
 	n.EmptySince = time.Time{}
 	n.Allocated = n.Allocated.Add(p.Resources)
 	n.livePods++
+	c.syncFit(n)
 	m := c.podsByNode[n.Name]
 	if m == nil {
 		m = make(map[string]*Pod)
 		c.podsByNode[n.Name] = m
 	}
 	m[p.Name] = p
-	delete(c.pendingPods, p.Name)
 	c.recordEvent("pod/"+p.Name, ReasonScheduled, "bound to "+n.Name)
 	c.notifyPod(Modified, p, ReasonScheduled)
 	c.kubeletStart(p, n)

@@ -146,6 +146,9 @@ type Node struct {
 	// livePods counts the non-terminal pods bound to the node; kept in
 	// lockstep with Allocated.
 	livePods int
+	// slot is the node's position in the cached roster and its fit
+	// index, valid while Cluster.nodeList[slot] is this node.
+	slot int
 }
 
 // DeepCopy returns a copy safe to hand to clients.

@@ -3,6 +3,7 @@ package kubesim
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 	"time"
 
@@ -23,6 +24,7 @@ type WorkerSet struct {
 	replicas int
 	seq      int
 	ticker   *simclock.Ticker
+	selector map[string]string // never handed out; Selector copies it
 }
 
 // workerSetReconcileInterval matches the kube-controller-manager's
@@ -32,7 +34,8 @@ const workerSetReconcileInterval = 5 * time.Second
 // NewWorkerSet creates the controller and immediately reconciles to
 // the requested replica count.
 func NewWorkerSet(c *Cluster, name string, template PodSpec, replicas int) *WorkerSet {
-	ws := &WorkerSet{c: c, name: name, template: template, replicas: replicas}
+	ws := &WorkerSet{c: c, name: name, template: template, replicas: replicas,
+		selector: map[string]string{"workerset": name}}
 	ws.ticker = c.eng.Every(workerSetReconcileInterval, "workerset-"+name, ws.Reconcile)
 	ws.Reconcile()
 	return ws
@@ -42,9 +45,7 @@ func NewWorkerSet(c *Cluster, name string, template PodSpec, replicas int) *Work
 func (ws *WorkerSet) Stop() { ws.ticker.Stop() }
 
 // Selector returns the label selector matching this set's pods.
-func (ws *WorkerSet) Selector() map[string]string {
-	return map[string]string{"workerset": ws.name}
-}
+func (ws *WorkerSet) Selector() map[string]string { return maps.Clone(ws.selector) }
 
 // Replicas returns the desired replica count.
 func (ws *WorkerSet) Replicas() int { return ws.replicas }
@@ -61,9 +62,9 @@ func (ws *WorkerSet) SetReplicas(n int) {
 // LivePods returns the set's non-terminal pods sorted by UID.
 func (ws *WorkerSet) LivePods() []Pod {
 	var out []Pod
-	for _, p := range ws.c.ListPods(ws.Selector()) {
+	for _, p := range ws.c.selectPods(ws.selector) {
 		if !p.Terminal() {
-			out = append(out, p)
+			out = append(out, p.DeepCopy())
 		}
 	}
 	return out
@@ -72,27 +73,32 @@ func (ws *WorkerSet) LivePods() []Pod {
 // Reconcile creates or deletes pods to match the desired count. The
 // periodic sync lists through the cluster's label index, so its cost
 // scales with this set's pod count rather than the whole store.
+//
+// Every pod is classified, and scale-down victims are ranked, before
+// the first deletion, so watch handlers that run inside DeletePod
+// cannot change what this sync decided.
 func (ws *WorkerSet) Reconcile() {
-	pods := ws.c.ListPods(ws.Selector())
-	var live []Pod
-	for _, p := range pods {
+	var finished, live []*Pod
+	for _, p := range ws.c.selectPods(ws.selector) {
 		if p.Terminal() {
-			// Garbage-collect finished pods.
-			_ = ws.c.DeletePod(p.Name)
-			continue
+			finished = append(finished, p)
+		} else {
+			live = append(live, p)
 		}
-		live = append(live, p)
 	}
-	switch {
-	case len(live) < ws.replicas:
-		for i := len(live); i < ws.replicas; i++ {
-			ws.createPod()
-		}
-	case len(live) > ws.replicas:
-		victims := ws.deletionOrder(live)
-		for i := 0; i < len(live)-ws.replicas; i++ {
-			_ = ws.c.DeletePod(victims[i].Name)
-		}
+	var victims []*Pod
+	if excess := len(live) - ws.replicas; excess > 0 {
+		victims = ws.deletionOrder(live)[:excess]
+	}
+	for _, p := range finished {
+		// Garbage-collect finished pods.
+		_ = ws.c.DeletePod(p.Name)
+	}
+	for i := len(live); i < ws.replicas; i++ {
+		ws.createPod()
+	}
+	for _, p := range victims {
+		_ = ws.c.DeletePod(p.Name)
 	}
 }
 
@@ -100,7 +106,7 @@ func (ws *WorkerSet) createPod() {
 	for {
 		ws.seq++
 		name := fmt.Sprintf("%s-%d", ws.name, ws.seq)
-		if _, exists := ws.c.GetPod(name); exists {
+		if _, exists := ws.c.pods[name]; exists {
 			continue
 		}
 		spec := ws.template
@@ -120,22 +126,21 @@ func (ws *WorkerSet) createPod() {
 
 // deletionOrder ranks pods for removal: not-yet-running pods first
 // (cheapest to kill), then newest running pods — the default
-// ReplicaSet victim ordering.
-func (ws *WorkerSet) deletionOrder(live []Pod) []Pod {
-	out := append([]Pod(nil), live...)
-	rank := func(p Pod) int {
+// ReplicaSet victim ordering. It sorts live in place.
+func (ws *WorkerSet) deletionOrder(live []*Pod) []*Pod {
+	rank := func(p *Pod) int {
 		if p.Phase == PodPending {
 			return 0
 		}
 		return 1
 	}
-	slices.SortFunc(out, func(a, b Pod) int {
+	slices.SortFunc(live, func(a, b *Pod) int {
 		if c := cmp.Compare(rank(a), rank(b)); c != 0 {
 			return c
 		}
 		return cmp.Compare(b.UID, a.UID) // newest first
 	})
-	return out
+	return live
 }
 
 // SetPodUsage attaches a usage reporter to an existing pod so the

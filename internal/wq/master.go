@@ -100,7 +100,7 @@ type Master struct {
 	// placement oracle.
 	roster     []*simWorker
 	tombs      int
-	avail      availIndex
+	avail      resources.FitIndex
 	naivePlace bool
 	naiveOrder []string // join-order id list for the retained naive scan
 
@@ -878,7 +878,7 @@ func (m *Master) queueStalled(maxFree resources.Vector) bool {
 // retained roster scan in naive mode.
 func (m *Master) maxFreeCapacity() resources.Vector {
 	if !m.naivePlace {
-		return m.avail.maxFree()
+		return m.avail.Max()
 	}
 	var free resources.Vector
 	for _, wid := range m.naiveOrder {
@@ -940,9 +940,9 @@ func (m *Master) placeKnown(t *Task, res resources.Vector) (placed bool, scanned
 		// Indexed path: leftmost-fit descent through the avail tree.
 		// On a miss the root is the exact max free, so the caller's
 		// bound refresh costs nothing extra.
-		slot := m.avail.findFirst(res)
+		slot := m.avail.FindFirst(res)
 		if slot < 0 {
-			return false, m.avail.maxFree(), true
+			return false, m.avail.Max(), true
 		}
 		m.startTask(t, m.roster[slot], res, false)
 		return true, resources.Zero, false

@@ -32,37 +32,6 @@ func TestPlacementDifferential(t *testing.T) {
 	}
 }
 
-// TestAvailIndexFindFirst exercises the segment tree directly:
-// leftmost-fit across growth, updates, and multi-dimension misses.
-func TestAvailIndexFindFirst(t *testing.T) {
-	var ix availIndex
-	vec := func(c float64, m int64) resources.Vector { return resources.New(c, m, 0) }
-	ix.ensure(1)
-	ix.set(0, vec(4, 1000))
-	for i := 1; i < 9; i++ {
-		ix.ensure(i + 1)
-		ix.set(i, vec(float64(i%4), 1000))
-	}
-	if got := ix.findFirst(vec(3, 500)); got != 0 {
-		t.Fatalf("findFirst(3c) = %d, want 0", got)
-	}
-	ix.set(0, resources.Zero)
-	if got := ix.findFirst(vec(3, 500)); got != 3 {
-		t.Fatalf("findFirst(3c) after drain = %d, want 3", got)
-	}
-	// Multi-dimension miss: max CPU and max memory on different slots.
-	ix.reset([]resources.Vector{vec(8, 100), vec(1, 9000)})
-	if got := ix.findFirst(vec(8, 8000)); got != -1 {
-		t.Fatalf("findFirst(8c/8G) = %d, want -1 (no single worker fits)", got)
-	}
-	if got := ix.maxFree(); got != vec(8, 9000) {
-		t.Fatalf("maxFree = %v, want componentwise max", got)
-	}
-	if got := ix.findFirst(vec(1, 8000)); got != 1 {
-		t.Fatalf("findFirst(1c/8G) = %d, want 1", got)
-	}
-}
-
 // TestRosterCompaction churns workers through join/kill cycles until
 // tombstones force compaction, then checks placement still follows
 // join order and the aggregates survived.

@@ -180,7 +180,7 @@ func (m *Master) Crash() (Snapshot, []WorkerReattach) {
 	m.workersBy = nil
 	m.workerCount = 0
 	m.roster, m.tombs = nil, 0
-	m.avail = availIndex{}
+	m.avail = resources.FitIndex{}
 	m.naiveOrder = nil
 	m.idle = nil
 	m.retryPending = make(map[int]simclock.Timer)
